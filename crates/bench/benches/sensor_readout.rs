@@ -19,6 +19,14 @@ fn bench_capture(c: &mut Criterion) {
             b.iter(|| sensor.capture(v).expect("capture"))
         });
     }
+    // `fleet_hw`'s geometry in the repository benchmark (snapbench): a
+    // 16x16 sensor at T=8 behind 8x8 tiles, one clip per capture.
+    let mask = patterns::random(8, (8, 8), 0.5, &mut rng).expect("valid dims");
+    let video = Tensor::rand_uniform(&mut rng, &[8, 16, 16], 0.0, 1.0);
+    let mut sensor = CeSensor::new(16, 16, mask).expect("geometry");
+    group.bench_function("fleet_hw_16x16_t8", |b| {
+        b.iter(|| sensor.capture(&video).expect("capture"))
+    });
     group.finish();
 }
 

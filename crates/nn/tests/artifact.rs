@@ -8,12 +8,19 @@ use snappix_nn::{
     NnError, ParamStore, SPX_HEADER_BYTES,
 };
 use snappix_tensor::Tensor;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
+/// A temp path no other call in this process hands out: tests run
+/// concurrently, and helpers like [`pristine_bytes`] are called from
+/// many of them, so a path fixed per name would be written and deleted
+/// under another test's feet.
 fn temp_path(name: &str) -> std::path::PathBuf {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let call = NEXT.fetch_add(1, Ordering::Relaxed);
     let mut p = std::env::temp_dir();
     p.push(format!(
-        "snappix_artifact_{}_{name}.spx",
+        "snappix_artifact_{}_{call}_{name}.spx",
         std::process::id()
     ));
     p

@@ -70,6 +70,14 @@ impl CePixel {
         out
     }
 
+    /// Holds `bit` in the DFF and power-gates it: the state the end of a
+    /// stream leaves this pixel in, once the chain simulation has worked
+    /// out which bit its DFF captured last.
+    pub(crate) fn latch(&mut self, bit: bool) {
+        self.dff = bit;
+        self.gated = true;
+    }
+
     /// Power-gates or ungates the DFF.
     pub fn set_gated(&mut self, gated: bool) {
         self.gated = gated;

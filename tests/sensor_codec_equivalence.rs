@@ -34,6 +34,25 @@ proptest! {
         prop_assert!(hw.approx_eq(&sw, 1e-5));
     }
 
+    /// Tiles whose shift chains are longer than one 64-bit word (72 to
+    /// 143 DFFs) also agree: the chain simulation carries bits across
+    /// words.
+    #[test]
+    fn sensor_equals_codec_multiword_chains(
+        seed in 0u64..10_000,
+        t in 2usize..6,
+        th in 8usize..12,
+        tw in 9usize..14,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mask = patterns::random(t, (th, tw), 0.5, &mut rng).expect("valid dims");
+        let video = Tensor::rand_uniform(&mut rng, &[t, 2 * th, 2 * tw], 0.0, 1.0);
+        let mut sensor = CeSensor::new(2 * th, 2 * tw, mask.clone()).expect("geometry");
+        let hw = sensor.capture(&video).expect("capture");
+        let sw = encode(&video, &mask).expect("encode");
+        prop_assert!(hw.approx_eq(&sw, 1e-5), "seed {seed}, tile {th}x{tw}: hw != Eqn. 1");
+    }
+
     /// With a noiseless ADC, digitization error is bounded by half an LSB
     /// of the configured full scale.
     #[test]

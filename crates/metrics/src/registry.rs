@@ -418,7 +418,7 @@ impl Summary {
     }
 
     /// Folds a pre-aggregated delta in: `count` observations totalling
-    /// `sum` raw units (how per-replica stage profiles merge).
+    /// `sum` raw units.
     pub fn observe_many(&self, count: u64, sum: u64) {
         if let Some(core) = &self.core {
             core.count.fetch_add(count, Ordering::Relaxed);

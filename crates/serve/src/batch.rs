@@ -52,7 +52,7 @@ impl BatchPolicy {
 }
 
 impl Default for BatchPolicy {
-    /// Batch up to 8 clips (the micro-batch size `Pipeline` defaults to)
+    /// Batch up to 8 clips (the batch size `evaluate_deployment` runs)
     /// holding partial batches open for at most 2 ms.
     fn default() -> Self {
         BatchPolicy::new(8, Duration::from_millis(2))

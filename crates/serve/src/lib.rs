@@ -36,12 +36,11 @@
 //!   log-linear queue/compute latency histograms covering *every*
 //!   sample since start (no sliding window, bounded relative error,
 //!   trace-id exemplars), a batch-size histogram, and per-stage
-//!   summaries, all as `snappix_server_*` Prometheus families.
-//!   [`Server::stats`] derives [`ServerStats`] — throughput,
-//!   p50/p95/p99 latency, queue depth, a per-stage
-//!   [`PipelineProfile`](snappix::PipelineProfile) — from the same
-//!   cells, so the struct and the rendered `/metrics` page always
-//!   agree.
+//!   summaries (recorded by the pipeline replicas themselves), all as
+//!   `snappix_server_*` Prometheus families. [`Server::stats`] derives
+//!   [`ServerStats`] — throughput, p50/p95/p99 latency, queue depth,
+//!   exact batch sizes — from the same cells, so the struct and the
+//!   rendered `/metrics` page always agree.
 //! * **Tracing** — attach a [`Tracer`](snappix_trace::Tracer) via
 //!   [`ServerBuilder::with_tracer`] and every request is stamped with a
 //!   trace id (on its [`Ticket`]), `queue_wait`/`batch`/`compute` spans

@@ -1,7 +1,7 @@
 //! The serving engine: worker replicas around a central dynamic batcher.
 
 use crate::queue::{Request, SharedQueue};
-use crate::stats::Recorder;
+use crate::stats::{Recorder, MAX_EXACT_BATCH};
 use crate::{BatchPolicy, ServeError, ServerStats, Ticket};
 use snappix::prelude::ActionModel;
 use snappix::{Error, Pipeline, PipelineBuilder};
@@ -99,9 +99,11 @@ impl<S: Sense> ServerBuilder<S> {
     /// Sets the metrics [`Registry`] the server records into: request
     /// counters, queue/compute latency histograms (with trace-id
     /// exemplars when a tracer is attached), the batch-size histogram,
-    /// and per-stage summaries, all under `snappix_server_*` family
-    /// names. [`Server::stats`] is derived from the same cells, so the
-    /// registry's rendered page and the stats struct always agree.
+    /// and — installed on every pipeline replica through
+    /// [`PipelineBuilder::with_metrics`] — per-stage summaries, all
+    /// under `snappix_server_*` family names. [`Server::stats`] is
+    /// derived from the same cells, so the registry's rendered page and
+    /// the stats struct always agree.
     ///
     /// Defaults to an enabled [`Registry::new`] private to this server.
     /// Pass a shared registry to fold the server's families into a
@@ -137,13 +139,24 @@ impl<S: Sense> ServerBuilder<S> {
     /// # Errors
     ///
     /// Any [`PipelineBuilder::build`] validation error (mask or
-    /// normalization mismatch), or [`Error::Pipeline`] when worker
-    /// threads cannot be spawned.
+    /// normalization mismatch), or [`Error::Pipeline`] when the batch
+    /// policy's `max_batch` exceeds 8191 (the largest size the
+    /// batch-size histogram keeps exact) or worker threads cannot be
+    /// spawned.
     pub fn build(self) -> Result<Server, Error>
     where
         S: Clone + Send + 'static,
         Error: From<S::Error>,
     {
+        if self.policy.max_batch > MAX_EXACT_BATCH {
+            return Err(Error::Pipeline {
+                context: format!(
+                    "batch policy max_batch {} exceeds {MAX_EXACT_BATCH}, the largest \
+                     batch size the batch-size histogram keeps exact",
+                    self.policy.max_batch
+                ),
+            });
+        }
         let workers = self.workers;
         let per_replica = self
             .worker_threads
@@ -152,6 +165,7 @@ impl<S: Sense> ServerBuilder<S> {
             .recipe
             .with_threads(per_replica)
             .with_tracer(self.tracer.clone())
+            .with_metrics(self.metrics.clone())
             .build_replicas(workers)?;
 
         let model = replicas[0].model();
@@ -165,7 +179,11 @@ impl<S: Sense> ServerBuilder<S> {
         let resident_weight_bytes = snappix::resident_weight_bytes(&replicas) as u64;
 
         let queue = Arc::new(SharedQueue::new(self.queue_depth));
-        let recorder = Arc::new(Recorder::new(resident_weight_bytes, self.metrics.clone()));
+        let recorder = Arc::new(Recorder::new(
+            resident_weight_bytes,
+            self.metrics.clone(),
+            self.policy.max_batch,
+        ));
         let mut handles = Vec::with_capacity(workers);
         for (i, replica) in replicas.into_iter().enumerate() {
             let worker_queue = Arc::clone(&queue);
@@ -572,7 +590,6 @@ fn run_worker<S>(
                 );
             }
         }
-        recorder.record_profile(&pipeline.take_profile());
         match result {
             // Guarded so a prediction-count regression in the pipeline
             // fails every rider loudly instead of `zip` silently

@@ -10,13 +10,36 @@
 //! registry, so the struct the Rust API returns and the Prometheus page
 //! the registry renders can never disagree.
 
-use snappix::PipelineProfile;
-use snappix_metrics::{
-    Counter, Gauge, Histogram, HistogramOpts, HistogramSnapshot, Registry, Summary,
-};
+use snappix_metrics::{Counter, Gauge, Histogram, HistogramOpts, HistogramSnapshot, Registry};
 use std::fmt;
-use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
+
+/// The largest batch size the `snappix_server_batch_size` histogram
+/// keeps exact: with its widest layout (12 sub-bucket bits) every value
+/// below `2^13` sits in a bucket of its own.
+pub(crate) const MAX_EXACT_BATCH: usize = (1 << 13) - 1;
+
+/// Sub-bucket bits that keep every batch size up to `max_batch` in a
+/// singleton bucket. A log-linear histogram with `b` bits is exact below
+/// `2^(b+1)`, so `b` is one less than `max_batch`'s bit length, at least
+/// 7 and at most 12.
+fn batch_size_bits(max_batch: usize) -> u32 {
+    (usize::BITS - max_batch.leading_zeros())
+        .saturating_sub(1)
+        .clamp(7, 12)
+}
+
+/// Rebuilds the per-size batch counts from the batch-size histogram:
+/// every executed size sits in a singleton bucket whose upper bound is
+/// the size itself.
+fn batch_sizes(snap: &HistogramSnapshot) -> Vec<u64> {
+    let len = snap.buckets.last().map_or(0, |b| b.upper as usize + 1);
+    let mut sizes = vec![0; len];
+    for bucket in &snap.buckets {
+        sizes[bucket.upper as usize] += bucket.count;
+    }
+    sizes
+}
 
 /// Order statistics over a latency stream.
 ///
@@ -121,7 +144,9 @@ pub struct ServerStats {
     /// Batched forward passes executed.
     pub batches: u64,
     /// Histogram of executed batch sizes: `batch_sizes[k]` counts the
-    /// batches that ran exactly `k` clips (index 0 is never used).
+    /// batches that ran exactly `k` clips (index 0 is never used). Read
+    /// from the `snappix_server_batch_size` histogram, whose buckets are
+    /// exact sizes up to the policy's `max_batch`.
     pub batch_sizes: Vec<u64>,
     /// Requests sitting in the admission queue right now.
     pub queue_depth: usize,
@@ -138,11 +163,6 @@ pub struct ServerStats {
     pub queue_latency: LatencySummary,
     /// Time batches spent in `Pipeline::infer`.
     pub compute_latency: LatencySummary,
-    /// Where batch compute time goes by pipeline stage
-    /// (`sense`/`forward`/`readout`), aggregated across every worker
-    /// replica. Populated whenever metrics are enabled — stage timing
-    /// does not require a tracer.
-    pub profile: PipelineProfile,
 }
 
 impl ServerStats {
@@ -273,31 +293,23 @@ impl fmt::Display for ServerStats {
             self.queue_latency.p99,
             self.queue_latency.max,
         )?;
-        writeln!(
+        write!(
             f,
             "compute latency: p50 {:.2?}  p95 {:.2?}  p99 {:.2?}  max {:.2?}",
             self.compute_latency.p50,
             self.compute_latency.p95,
             self.compute_latency.p99,
             self.compute_latency.max,
-        )?;
-        write!(f, "stages: {}", self.profile)
+        )
     }
-}
-
-/// Exact side data the registry's fixed-shape metrics cannot carry: the
-/// per-size batch histogram (the conserved-accounting witness) and the
-/// per-stage profile with its `max` fields.
-#[derive(Debug, Default)]
-struct Aux {
-    batch_sizes: Vec<u64>,
-    profile: PipelineProfile,
 }
 
 /// The shared recorder workers and the submission path write into. All
 /// counters and latency samples land in [`Registry`] cells — atomics on
 /// the hot path — so the same numbers surface as [`ServerStats`] *and*
 /// on any `/metrics` page rendered from the registry.
+/// Per-stage time is recorded by the pipeline replicas themselves, into
+/// the same registry.
 #[derive(Debug)]
 pub(crate) struct Recorder {
     started: Instant,
@@ -313,17 +325,17 @@ pub(crate) struct Recorder {
     batch_size: Histogram,
     queue_latency: Histogram,
     compute_latency: Histogram,
-    stages: [(Summary, &'static str); 3],
     in_flight: Gauge,
     queue_depth: Gauge,
     uptime: Gauge,
-    aux: Mutex<Aux>,
 }
 
 impl Recorder {
     /// Registers the `snappix_server_*` families on `registry` (no-ops
     /// when it is disabled) and wires the recorder to their handles.
-    pub fn new(resident_weight_bytes: u64, registry: Registry) -> Self {
+    /// The batch-size histogram is laid out to keep every size up to
+    /// `max_batch` exact (at most [`MAX_EXACT_BATCH`]).
+    pub fn new(resident_weight_bytes: u64, registry: Registry, max_batch: usize) -> Self {
         let counter = |name, help| registry.counter(name, help);
         let submitted = counter(
             "snappix_server_requests_submitted_total",
@@ -349,12 +361,12 @@ impl Recorder {
             "snappix_server_batches_total",
             "Batched forward passes executed.",
         );
-        // 7 sub-bucket bits: every batch size below 128 gets its own
-        // singleton bucket, so `le` values are exact sizes.
+        // Every batch size up to `max_batch` gets its own singleton
+        // bucket, so `le` values are exact sizes.
         let batch_size = registry.histogram(
             "snappix_server_batch_size",
             "Executed batch sizes (clips per forward pass).",
-            HistogramOpts::default().with_sub_bucket_bits(7),
+            HistogramOpts::default().with_sub_bucket_bits(batch_size_bits(max_batch)),
         );
         let queue_latency = registry.histogram(
             "snappix_server_queue_latency_seconds",
@@ -366,17 +378,6 @@ impl Recorder {
             "Time batches spent in the pipeline forward pass.",
             HistogramOpts::nanos().with_exemplars(),
         );
-        let stages = ["sense", "forward", "readout"].map(|stage| {
-            (
-                registry.summary_with(
-                    "snappix_server_stage_latency_seconds",
-                    "Forward-pass wall time by pipeline stage, aggregated across worker replicas.",
-                    1e-9,
-                    &[("stage", stage)],
-                ),
-                stage,
-            )
-        });
         let in_flight = registry.gauge(
             "snappix_server_requests_in_flight",
             "Admitted requests not yet resolved (queued or mid-batch).",
@@ -409,21 +410,15 @@ impl Recorder {
             batch_size,
             queue_latency,
             compute_latency,
-            stages,
             in_flight,
             queue_depth,
             uptime,
-            aux: Mutex::new(Aux::default()),
         }
     }
 
     /// The registry the recorder's families live in.
     pub fn registry(&self) -> &Registry {
         &self.registry
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, Aux> {
-        self.aux.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     pub fn record_admitted(&self) {
@@ -440,25 +435,6 @@ impl Recorder {
 
     pub fn record_rejected(&self) {
         self.rejected.inc();
-    }
-
-    /// Folds one replica's per-stage profile delta (from
-    /// [`Pipeline::take_profile`](snappix::Pipeline::take_profile))
-    /// into the server-wide aggregate. Workers call this after every
-    /// batch.
-    pub fn record_profile(&self, delta: &PipelineProfile) {
-        if delta.is_empty() || !self.registry.is_enabled() {
-            return;
-        }
-        for (summary, stage) in &self.stages {
-            let s = match *stage {
-                "sense" => delta.sense,
-                "forward" => delta.forward,
-                _ => delta.readout,
-            };
-            summary.observe_many(s.calls, s.total.as_nanos() as u64);
-        }
-        self.lock().profile.merge(delta);
     }
 
     /// Records one claimed batch: per-request queue latencies (each
@@ -480,13 +456,6 @@ impl Recorder {
         if executed > 0 {
             self.batches.inc();
             self.batch_size.record(executed as u64);
-            if self.registry.is_enabled() {
-                let mut aux = self.lock();
-                if aux.batch_sizes.len() <= executed {
-                    aux.batch_sizes.resize(executed + 1, 0);
-                }
-                aux.batch_sizes[executed] += 1;
-            }
             if let Some((compute, trace_id)) = compute {
                 self.compute_latency
                     .record_with_trace(compute.as_nanos() as u64, trace_id);
@@ -498,10 +467,6 @@ impl Recorder {
     }
 
     pub fn snapshot(&self, queue_depth: usize) -> ServerStats {
-        let (batch_sizes, profile) = {
-            let aux = self.lock();
-            (aux.batch_sizes.clone(), aux.profile)
-        };
         let stats = ServerStats {
             submitted: self.submitted.get(),
             completed: self.completed.get(),
@@ -509,13 +474,12 @@ impl Recorder {
             expired: self.expired.get(),
             failed: self.failed.get(),
             batches: self.batches.get(),
-            batch_sizes,
+            batch_sizes: batch_sizes(&self.batch_size.snapshot()),
             queue_depth,
             resident_weight_bytes: self.resident_weight_bytes,
             uptime: self.started.elapsed(),
             queue_latency: LatencySummary::from_histogram(&self.queue_latency.snapshot()),
             compute_latency: LatencySummary::from_histogram(&self.compute_latency.snapshot()),
-            profile,
         };
         // Refresh the scrape-time gauges: a registry render right after
         // a snapshot (the gateway's `/metrics` path) sees current
@@ -532,7 +496,7 @@ mod tests {
     use super::*;
 
     fn recorder() -> Recorder {
-        Recorder::new(1024, Registry::new())
+        Recorder::new(1024, Registry::new(), 8)
     }
 
     #[test]
@@ -602,46 +566,47 @@ mod tests {
 
     #[test]
     fn stage_profiles_merge_across_replicas() {
+        use snappix::prelude::*;
+        // Replicas built against the recorder's registry time their
+        // stages into one shared cell per stage.
         let r = recorder();
-        let mut a = PipelineProfile::default();
-        a.sense.calls = 2;
-        a.sense.total = Duration::from_millis(4);
-        a.sense.max = Duration::from_millis(3);
-        a.batches = 2;
-        a.clips = 5;
-        let mut b = PipelineProfile::default();
-        b.sense.calls = 1;
-        b.sense.total = Duration::from_millis(10);
-        b.sense.max = Duration::from_millis(10);
-        b.forward.calls = 1;
-        b.forward.total = Duration::from_millis(6);
-        b.forward.max = Duration::from_millis(6);
-        b.batches = 1;
-        b.clips = 3;
-        r.record_profile(&a);
-        r.record_profile(&b);
-        r.record_profile(&PipelineProfile::default()); // no-op
-        let s = r.snapshot(0);
-        assert_eq!(s.profile.sense.calls, 3);
-        assert_eq!(s.profile.sense.total, Duration::from_millis(14));
-        assert_eq!(s.profile.sense.max, Duration::from_millis(10));
-        assert_eq!(s.profile.forward.calls, 1);
-        assert_eq!((s.profile.batches, s.profile.clips), (3, 8));
-        assert!(s.to_string().contains("stages:"));
-        // The stage summaries mirror the profile on the rendered page.
+        let mask = patterns::long_exposure(4, (8, 8)).expect("valid mask");
+        let model = SnapPixAr::new(VitConfig::snappix_s(16, 16, 5), mask).expect("valid model");
+        let mut replicas = Pipeline::builder(model)
+            .with_metrics(r.registry().clone())
+            .build_replicas(2)
+            .expect("assembly");
+        let clips = Tensor::zeros(&[3, 4, 16, 16]);
+        replicas[0].infer(&clips).expect("inference");
+        replicas[1].infer(&clips).expect("inference");
+        replicas[1].infer(&clips).expect("inference");
         let page = r.registry().render();
-        assert!(
-            page.contains("snappix_server_stage_latency_seconds_sum{stage=\"sense\"} 0.014\n"),
-            "{page}"
-        );
-        assert!(
-            page.contains("snappix_server_stage_latency_seconds_count{stage=\"sense\"} 3\n"),
-            "{page}"
-        );
-        assert!(
-            page.contains("snappix_server_stage_latency_seconds_count{stage=\"forward\"} 1\n"),
-            "{page}"
-        );
+        for stage in ["sense", "forward", "readout"] {
+            let line =
+                format!("snappix_server_stage_latency_seconds_count{{stage=\"{stage}\"}} 3\n");
+            assert!(page.contains(&line), "missing {line:?} in:\n{page}");
+        }
+    }
+
+    #[test]
+    fn batch_sizes_stay_exact_up_to_max_batch() {
+        // Batch sizes past 255 need more than 7 sub-bucket bits.
+        let r = Recorder::new(1024, Registry::new(), 300);
+        for _ in 0..300 {
+            r.record_admitted();
+        }
+        r.record_batch(&[], 0, 300, Some((Duration::from_millis(1), 0)));
+        let s = r.snapshot(0);
+        assert_eq!(s.batch_sizes.len(), 301);
+        assert_eq!(s.batch_sizes[300], 1);
+        assert_eq!(s.check_conserved(), Ok(0));
+        // The layout is the narrowest that keeps every size up to
+        // `max_batch` in a singleton bucket, but never under 7 bits.
+        for (max_batch, bits) in [(1, 7), (255, 7), (256, 8), (300, 8), (4095, 11)] {
+            assert_eq!(batch_size_bits(max_batch), bits, "max_batch {max_batch}");
+        }
+        assert_eq!(batch_size_bits(MAX_EXACT_BATCH), 12);
+        assert_eq!(batch_size_bits(MAX_EXACT_BATCH + 1), 12, "clamped");
     }
 
     #[test]
@@ -762,7 +727,7 @@ mod tests {
 
     #[test]
     fn disabled_registry_records_nothing_and_stays_conserved() {
-        let r = Recorder::new(512, Registry::disabled());
+        let r = Recorder::new(512, Registry::disabled(), 8);
         r.record_admitted();
         r.record_batch(
             &[(Duration::from_millis(1), 0)],

@@ -63,7 +63,6 @@
 //! // 4. Deploy: a batched engine over the simulated sensor hardware.
 //! let mut pipeline = Pipeline::builder(model)
 //!     .with_hardware_sensor(ReadoutConfig::default())?
-//!     .with_max_pending(8)
 //!     .build()?;
 //!
 //! // Batched inference: one forward pass for the whole batch.
@@ -71,14 +70,10 @@
 //! let out = pipeline.infer(&batch.videos)?;
 //! println!("predicted {:?}, truth {:?}", out.labels, batch.labels);
 //!
-//! // Single-clip callers reach the same batched path via submit/flush.
-//! for i in 0..test.len() {
-//!     if let Some(done) = pipeline.submit(test.sample(i).video.frames())? {
-//!         println!("micro-batch of {} classified", done.len());
-//!     }
-//! }
-//! let rest = pipeline.flush()?;
-//! println!("{} stragglers classified", rest.len());
+//! // Many single-clip callers share forward passes through
+//! // `snappix-serve`'s dynamic batcher; one clip alone takes `infer_clip`.
+//! let one = pipeline.infer_clip(test.sample(0).video.frames())?;
+//! println!("clip 0 -> class {}", one.label);
 //! # Ok(())
 //! # }
 //! ```
@@ -94,8 +89,8 @@ mod report;
 pub use error::Error;
 pub use node::EdgeNode;
 pub use pipeline::{
-    resident_weight_bytes, Inference, IntoPredictions, Pipeline, PipelineBuilder, PipelineProfile,
-    Prediction, Predictions, StageProfile,
+    resident_weight_bytes, Inference, IntoPredictions, Pipeline, PipelineBuilder, Prediction,
+    Predictions,
 };
 pub use report::{evaluate_deployment, DeploymentReport};
 
@@ -103,7 +98,7 @@ pub use report::{evaluate_deployment, DeploymentReport};
 pub mod prelude {
     pub use crate::{
         evaluate_deployment, resident_weight_bytes, DeploymentReport, EdgeNode, Error, Inference,
-        Pipeline, PipelineBuilder, PipelineProfile, Prediction, StageProfile,
+        Pipeline, PipelineBuilder, Prediction,
     };
     pub use snappix_ce::{
         encode, encode_batch, encode_batch_normalized, encode_normalized,

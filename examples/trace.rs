@@ -149,8 +149,23 @@ fn main() -> Result<(), snappix::Error> {
         );
     }
 
+    // The same stage split, summed over every batch on both replicas:
+    // the pipelines time each stage into the server's registry, tracer
+    // or no tracer.
+    let metrics = gateway.server().metrics().clone();
     let (_, server_stats) = gateway.shutdown();
     server_stats.debug_assert_conserved();
-    println!("\naggregate {}", server_stats.profile);
+    println!("\naggregate over {} batches:", server_stats.batches);
+    for stage in ["sense", "forward", "readout"] {
+        let summary = metrics.summary_with(
+            "snappix_server_stage_latency_seconds",
+            "",
+            1e-9,
+            &[("stage", stage)],
+        );
+        let total = Duration::from_nanos(summary.sum_raw());
+        let mean = total / u32::try_from(summary.count().max(1)).unwrap_or(u32::MAX);
+        println!("  {stage:<8} {total:>10.2?} total  {mean:>9.2?} mean");
+    }
     Ok(())
 }

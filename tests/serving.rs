@@ -296,3 +296,93 @@ fn serve_errors_unify_into_the_umbrella_error() {
     assert!(matches!(e, snappix::Error::Serve(_)));
     assert!(e.to_string().contains("overloaded"));
 }
+
+/// Every worker replica times its stages into the server's registry:
+/// on the rendered page each stage's `_count` equals
+/// `snappix_server_batches_total`, and the stage `_sum`s add to at most
+/// the compute time, since the stage timers run inside the compute
+/// interval. A server that stopped handing its registry to the
+/// pipeline recipe would export no stage family at all.
+#[test]
+fn stage_latency_on_the_metrics_page_matches_the_batches() {
+    const CLIENTS: usize = 4;
+    const PER_CLIENT: usize = 3;
+    let all = clips(CLIENTS * PER_CLIENT);
+    let server = Server::builder(Pipeline::builder(model()))
+        .with_workers(2)
+        .with_batch_policy(BatchPolicy::new(4, Duration::from_millis(2)))
+        .build()
+        .expect("assembly");
+    assert!(
+        !server.tracer().is_enabled(),
+        "stage timing needs no tracer"
+    );
+    std::thread::scope(|scope| {
+        for chunk in all.chunks(PER_CLIENT) {
+            let server = &server;
+            scope.spawn(move || {
+                for clip in chunk {
+                    server
+                        .submit(clip)
+                        .expect("admission")
+                        .wait()
+                        .expect("prediction");
+                }
+            });
+        }
+    });
+    // Clients are answered before their batch is counted; shutting down
+    // joins the workers, so every batch is on the page.
+    let metrics = server.metrics().clone();
+    let stats = server.shutdown();
+    assert_eq!(stats.completed, all.len() as u64);
+
+    let page = metrics.render();
+    let value = |sample: &str| -> f64 {
+        page.lines()
+            .find_map(|line| line.strip_prefix(sample)?.strip_prefix(' ')?.parse().ok())
+            .unwrap_or_else(|| panic!("no sample {sample} in:\n{page}"))
+    };
+    let batches = value("snappix_server_batches_total");
+    assert_eq!(batches, stats.batches as f64);
+    assert!(batches > 0.0);
+    let mut stage_total = 0.0;
+    for stage in ["sense", "forward", "readout"] {
+        let labels = format!("{{stage=\"{stage}\"}}");
+        assert_eq!(
+            value(&format!(
+                "snappix_server_stage_latency_seconds_count{labels}"
+            )),
+            batches,
+            "one {stage} sample per batch"
+        );
+        stage_total += value(&format!("snappix_server_stage_latency_seconds_sum{labels}"));
+    }
+    let compute = value("snappix_server_compute_latency_seconds_sum");
+    assert!(
+        stage_total > 0.0 && stage_total <= compute,
+        "stage sums {stage_total} s must nest inside compute {compute} s"
+    );
+}
+
+/// The batch-size histogram keeps sizes exact only up to 8191 clips, so
+/// a policy allowing larger batches is refused at build time.
+#[test]
+fn batch_policies_past_the_exact_histogram_range_are_rejected() {
+    let build = |max_batch| {
+        Server::builder(Pipeline::builder(model()))
+            .with_workers(1)
+            .with_batch_policy(BatchPolicy::greedy(max_batch))
+            .build()
+    };
+    let err = build(8192).expect_err("max_batch 8192 cannot be counted exactly");
+    assert!(matches!(err, snappix::Error::Pipeline { .. }), "{err}");
+    assert!(err.to_string().contains("8191"), "{err}");
+
+    let server = build(8191).expect("8191 is the largest exact max_batch");
+    let clip = &clips(1)[0];
+    server.classify(clip).expect("serves");
+    let stats = server.shutdown();
+    assert_eq!(stats.batch_sizes, vec![0, 1]);
+    assert_eq!(stats.check_conserved(), Ok(0));
+}

@@ -67,7 +67,7 @@ pub fn encode(video: &Tensor, mask: &ExposureMask) -> Result<Tensor> {
 /// Same conditions as [`encode`].
 pub fn encode_normalized(video: &Tensor, mask: &ExposureMask) -> Result<Tensor> {
     let coded = encode(video, mask)?;
-    Ok(apply_normalization(&coded, mask))
+    Ok(normalize_coded(&coded, mask))
 }
 
 /// Encodes a `[batch, t, h, w]` batch into `[batch, h, w]` coded images.
@@ -76,6 +76,25 @@ pub fn encode_normalized(video: &Tensor, mask: &ExposureMask) -> Result<Tensor> 
 ///
 /// Same conditions as [`encode`], plus rank validation of the batch.
 pub fn encode_batch(videos: &Tensor, mask: &ExposureMask) -> Result<Tensor> {
+    encode_each(videos, mask, encode)
+}
+
+/// Batched [`encode_normalized`].
+///
+/// # Errors
+///
+/// Same conditions as [`encode_batch`].
+pub fn encode_batch_normalized(videos: &Tensor, mask: &ExposureMask) -> Result<Tensor> {
+    encode_each(videos, mask, encode_normalized)
+}
+
+/// Runs `code` on every clip of a `[batch, t, h, w]` batch and stacks the
+/// coded images.
+fn encode_each(
+    videos: &Tensor,
+    mask: &ExposureMask,
+    code: fn(&Tensor, &ExposureMask) -> Result<Tensor>,
+) -> Result<Tensor> {
     if videos.rank() != 4 {
         return Err(CeError::Tensor(snappix_tensor::TensorError::RankMismatch {
             expected: 4,
@@ -85,25 +104,9 @@ pub fn encode_batch(videos: &Tensor, mask: &ExposureMask) -> Result<Tensor> {
     let batch = videos.shape()[0];
     let mut coded = Vec::with_capacity(batch);
     for b in 0..batch {
-        coded.push(encode(&videos.index_axis(0, b)?, mask)?);
+        coded.push(code(&videos.index_axis(0, b)?, mask)?);
     }
     let refs: Vec<&Tensor> = coded.iter().collect();
-    Ok(Tensor::stack(&refs, 0)?)
-}
-
-/// Batched [`encode_normalized`].
-///
-/// # Errors
-///
-/// Same conditions as [`encode_batch`].
-pub fn encode_batch_normalized(videos: &Tensor, mask: &ExposureMask) -> Result<Tensor> {
-    let coded = encode_batch(videos, mask)?;
-    let batch = coded.shape()[0];
-    let mut out = Vec::with_capacity(batch);
-    for b in 0..batch {
-        out.push(apply_normalization(&coded.index_axis(0, b)?, mask));
-    }
-    let refs: Vec<&Tensor> = out.iter().collect();
     Ok(Tensor::stack(&refs, 0)?)
 }
 
@@ -113,10 +116,6 @@ pub fn encode_batch_normalized(videos: &Tensor, mask: &ExposureMask) -> Result<T
 /// Useful when the coded image came from the hardware simulator rather
 /// than [`encode`], e.g. a digitized sensor readout.
 pub fn normalize_coded(coded: &Tensor, mask: &ExposureMask) -> Tensor {
-    apply_normalization(coded, mask)
-}
-
-fn apply_normalization(coded: &Tensor, mask: &ExposureMask) -> Tensor {
     let (h, w) = (coded.shape()[0], coded.shape()[1]);
     let (th, tw) = mask.tile();
     let counts = mask.exposure_counts();

@@ -7,7 +7,7 @@
 //! implement so pipelines, tests and benches can swap backends via
 //! generics instead of duplicating glue for each path.
 
-use crate::{encode, encode_batch, encode_batch_normalized, encode_normalized, ExposureMask};
+use crate::{encode, encode_normalized, ExposureMask};
 use snappix_tensor::{Tensor, TensorError};
 
 /// A coded-exposure capture backend: turns a `[t, h, w]` clip into the
@@ -56,8 +56,7 @@ pub trait Sense {
     /// images.
     ///
     /// The default implementation loops over [`Sense::sense`] and stacks;
-    /// backends with a cheaper batched path (e.g. the algorithmic
-    /// encoder) override it.
+    /// a backend with a cheaper batched path may override it.
     ///
     /// # Errors
     ///
@@ -149,14 +148,6 @@ impl Sense for AlgorithmicEncoder {
             encode(clip, &self.mask)
         }
     }
-
-    fn sense_batch(&mut self, clips: &Tensor) -> Result<Tensor, Self::Error> {
-        if self.normalize {
-            encode_batch_normalized(clips, &self.mask)
-        } else {
-            encode_batch(clips, &self.mask)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -198,8 +189,8 @@ mod tests {
         }
     }
 
-    /// Exercises the trait's *default* `sense_batch` (which
-    /// `AlgorithmicEncoder` overrides) through a minimal adapter.
+    /// Exercises the trait's *default* `sense_batch` through a minimal
+    /// adapter.
     #[test]
     fn default_sense_batch_loops_and_stacks() {
         struct Adapter(AlgorithmicEncoder);

@@ -151,10 +151,6 @@ impl<'a> Node<'a> {
         })
     }
 
-    /// Processes one [`NodeEvent::Advance`]: pull a frame, harvest,
-    /// and — if a window completed — step the ladder and decide the
-    /// window's fate. Returns the node's next event, or `None` when the
-    /// source is exhausted.
     /// Records one fleet event into the shared tracer as a raw span on
     /// this node's lane (see [`TraceEvent::to_record`]).
     fn record(&mut self, tracer: &Tracer, at_us: u64, window: usize, kind: TraceKind) {
@@ -170,6 +166,10 @@ impl<'a> Node<'a> {
         );
     }
 
+    /// Processes one [`NodeEvent::Advance`]: pull a frame, harvest,
+    /// and — if a window completed — step the ladder and decide the
+    /// window's fate. Returns the node's next event, or `None` when the
+    /// source is exhausted.
     pub(crate) fn advance(
         &mut self,
         at_us: u64,

@@ -9,7 +9,7 @@ use crate::stats::{Endpoint, GatewayStats, Recorder};
 use crate::GatewayError;
 use snappix_serve::{Server, ServerStats};
 use std::collections::HashMap;
-use std::io::BufReader;
+use std::io::{self, BufRead, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -373,6 +373,15 @@ fn run_connection(state: &AppState, stream: &TcpStream, peer: SocketAddr, read_t
     // the same keep-alive connection have no accept phase.
     let mut accepted_us = tracer.is_enabled().then(|| tracer.now_us());
     loop {
+        // Wait for the next request's first byte before stamping `parse`:
+        // on a keep-alive connection the idle gap between requests is
+        // the client's time, not parsing. No bytes means the peer closed.
+        match reader.fill_buf() {
+            Ok([]) => return,
+            Ok(_) => {}
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(_) => return,
+        }
         let parse_start_us = tracer.now_us();
         match read_request(&mut reader, max_body) {
             Ok(request) => {

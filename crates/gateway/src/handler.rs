@@ -32,14 +32,17 @@ const DEBUG_TRACE_LIMIT: usize = 64;
 
 /// Tracer timestamps the connection loop measured before routing: when
 /// the connection was accepted (first request only) and the interval
-/// spent reading + framing the request off the wire. Classify turns
-/// these into `accept`/`parse` spans under its request span.
+/// spent reading + framing the request off the wire, from its first
+/// byte. Classify turns these into `accept`/`parse` spans under its
+/// request span.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct WireTiming {
     /// When the connection was accepted — `Some` only for the first
     /// request of a connection.
     pub accepted_us: Option<u64>,
-    /// When the request's first read began.
+    /// When the request's first byte had arrived. The connection loop
+    /// waits for it before stamping, so keep-alive idle time between
+    /// requests is not counted as parsing.
     pub parse_start_us: u64,
     /// When the request was fully parsed.
     pub parse_end_us: u64,

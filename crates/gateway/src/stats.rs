@@ -89,9 +89,6 @@ pub struct EndpointLatency {
     /// histogram (same semantics as the serving layer's summaries:
     /// exact count/total/max, bounded-error percentiles).
     pub summary: LatencySummary,
-    /// All-time total time spent answering (a Prometheus histogram's
-    /// `_sum`); equal to `summary.total`, kept for direct access.
-    pub total: Duration,
 }
 
 /// A point-in-time snapshot of a [`Gateway`](crate::Gateway)'s
@@ -355,13 +352,9 @@ impl Recorder {
             .iter()
             .filter_map(|(endpoint, hist)| {
                 let snap = hist.snapshot();
-                (snap.count > 0).then(|| {
-                    let summary = LatencySummary::from_histogram(&snap);
-                    EndpointLatency {
-                        endpoint: *endpoint,
-                        summary,
-                        total: summary.total,
-                    }
+                (snap.count > 0).then(|| EndpointLatency {
+                    endpoint: *endpoint,
+                    summary: LatencySummary::from_histogram(&snap),
                 })
             })
             .collect();
@@ -425,11 +418,7 @@ mod tests {
             .expect("classify latency tracked");
         assert_eq!(classify.summary.samples, 3);
         assert_eq!(classify.summary.max, ms(5));
-        assert_eq!(classify.total, ms(8) + Duration::from_micros(20));
-        assert_eq!(
-            classify.summary.total, classify.total,
-            "the summary carries the same all-time total"
-        );
+        assert_eq!(classify.summary.total, ms(8) + Duration::from_micros(20));
         assert!(s.latency.iter().all(|l| l.endpoint != Endpoint::Metrics));
 
         let text = s.to_string();

@@ -4,6 +4,11 @@
 //! convolutions over `[batch, channel, time, h, w]` video volumes, and the
 //! SVC2D baseline composes the shift-variant layer in [`crate::svc`] with
 //! ordinary 2-D convolutions.
+//!
+//! One pair of kernels serves both layers. A 2-D convolution is the
+//! depth-1 case of the 3-D one: [`Conv2d`] passes its 4-D operands as
+//! they are, and the kernels read a `[batch, channel, h, w]` shape as
+//! `t = 1` (with `kt = 1`, stride `(1, s, s)` and padding `(0, p, p)`).
 
 use crate::{kaiming_uniform, NnError, ParamId, ParamStore, Result, Session};
 use rand::Rng;
@@ -99,172 +104,22 @@ impl Conv2d {
         }
         let wv = sess.param(self.weight);
         let bv = sess.param(self.bias);
-        let value = conv2d_forward(
+        // The depth-1 case of the 3-D kernels (see the module docs).
+        let stride = (1, self.stride, self.stride);
+        let padding = (0, self.padding, self.padding);
+        let value = conv3d_forward(
             sess.graph.value(x),
             sess.graph.value(wv),
             sess.graph.value(bv),
-            self.stride,
-            self.padding,
+            stride,
+            padding,
         );
-        let (stride, padding) = (self.stride, self.padding);
         Ok(sess
             .graph
             .custom_op(value, vec![x, wv, bv], move |g, parents| {
-                conv2d_backward(g, parents[0], parents[1], stride, padding)
+                conv3d_backward(g, parents[0], parents[1], stride, padding)
             })?)
     }
-}
-
-/// Batched 2-D convolution forward pass, parallel over the
-/// `batch x cout` output planes. Each plane is written by exactly one
-/// worker in the historical loop order, so results are bit-for-bit
-/// identical at every thread count (the parity tests assert this).
-fn conv2d_forward(x: &Tensor, w: &Tensor, b: &Tensor, stride: usize, pad: usize) -> Tensor {
-    let (batch, cin, h, wid) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
-    let (cout, _, kh, kw) = (w.shape()[0], w.shape()[1], w.shape()[2], w.shape()[3]);
-    let oh = (h + 2 * pad - kh) / stride + 1;
-    let ow = (wid + 2 * pad - kw) / stride + 1;
-    let mut out = Tensor::zeros(&[batch, cout, oh, ow]);
-    let (xs, ws, bs) = (x.as_slice(), w.as_slice(), b.as_slice());
-    let os = out.as_mut_slice();
-    let plane = |pi: usize, dst: &mut [f32]| {
-        let (bi, f) = (pi / cout, pi % cout);
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let mut acc = bs[f];
-                for c in 0..cin {
-                    for ky in 0..kh {
-                        let iy = (oy * stride + ky) as isize - pad as isize;
-                        if iy < 0 || iy as usize >= h {
-                            continue;
-                        }
-                        for kx in 0..kw {
-                            let ix = (ox * stride + kx) as isize - pad as isize;
-                            if ix < 0 || ix as usize >= wid {
-                                continue;
-                            }
-                            acc += xs[((bi * cin + c) * h + iy as usize) * wid + ix as usize]
-                                * ws[((f * cin + c) * kh + ky) * kw + kx];
-                        }
-                    }
-                }
-                dst[oy * ow + ox] = acc;
-            }
-        }
-    };
-    let workers = conv_workers(batch * cout * oh * ow * cin * kh * kw);
-    // With one worker, par_chunks_mut runs the planes in order on the
-    // calling thread — the serial reference path.
-    parallel::with_threads(workers, || parallel::par_chunks_mut(os, oh * ow, plane));
-    out
-}
-
-/// Batched 2-D convolution backward pass.
-///
-/// The historical single loop fused the three gradients; accumulating
-/// `dx` (shared across `cout`) and `dw` (shared across `batch`) from one
-/// loop nest cannot be split across workers without locks, so the pass is
-/// restructured as three independent sweeps: `dx` parallel over `batch`,
-/// `dw` parallel over `cout`, and the tiny `db` reduction serial. Per
-/// gradient element the accumulation order matches the fused loop exactly
-/// (bit-for-bit at every thread count), because the fused loop already
-/// ordered contributions `(f, oy, ox)`-major for `dx` and
-/// `(bi, oy, ox)`-major for `dw`.
-///
-/// The `go == 0.0` skips are kept deliberately, unlike the forward
-/// matmul's IEEE-incorrect zero-skip that this PR removed: upstream
-/// gradients are routinely *structurally* zero (ReLU masks, clipped
-/// losses, one-hot targets), the skip is a large win there, and a
-/// gradient that fails to propagate `0 x NaN` does not mask a blowup —
-/// the forward pass producing the NaN already reports it.
-fn conv2d_backward(g: &Tensor, x: &Tensor, w: &Tensor, stride: usize, pad: usize) -> Vec<Tensor> {
-    let (batch, cin, h, wid) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
-    let (cout, _, kh, kw) = (w.shape()[0], w.shape()[1], w.shape()[2], w.shape()[3]);
-    let (oh, ow) = (g.shape()[2], g.shape()[3]);
-    let mut dx = Tensor::zeros(x.shape());
-    let mut dw = Tensor::zeros(w.shape());
-    let mut db = Tensor::zeros(&[cout]);
-    let (gs, xs, ws) = (g.as_slice(), x.as_slice(), w.as_slice());
-    let workers = conv_workers(batch * cout * oh * ow * cin * kh * kw);
-
-    // dx: each worker owns one batch element's input gradient.
-    let dx_batch = |bi: usize, dxb: &mut [f32]| {
-        for f in 0..cout {
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let go = gs[((bi * cout + f) * oh + oy) * ow + ox];
-                    if go == 0.0 {
-                        continue;
-                    }
-                    for c in 0..cin {
-                        for ky in 0..kh {
-                            let iy = (oy * stride + ky) as isize - pad as isize;
-                            if iy < 0 || iy as usize >= h {
-                                continue;
-                            }
-                            for kx in 0..kw {
-                                let ix = (ox * stride + kx) as isize - pad as isize;
-                                if ix < 0 || ix as usize >= wid {
-                                    continue;
-                                }
-                                dxb[(c * h + iy as usize) * wid + ix as usize] +=
-                                    go * ws[((f * cin + c) * kh + ky) * kw + kx];
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    };
-    // dw: each worker owns one output filter's weight gradient.
-    let dw_filter = |f: usize, dwf: &mut [f32]| {
-        for bi in 0..batch {
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let go = gs[((bi * cout + f) * oh + oy) * ow + ox];
-                    if go == 0.0 {
-                        continue;
-                    }
-                    for c in 0..cin {
-                        for ky in 0..kh {
-                            let iy = (oy * stride + ky) as isize - pad as isize;
-                            if iy < 0 || iy as usize >= h {
-                                continue;
-                            }
-                            for kx in 0..kw {
-                                let ix = (ox * stride + kx) as isize - pad as isize;
-                                if ix < 0 || ix as usize >= wid {
-                                    continue;
-                                }
-                                dwf[(c * kh + ky) * kw + kx] +=
-                                    go * xs[((bi * cin + c) * h + iy as usize) * wid + ix as usize];
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    };
-    {
-        let dxs = dx.as_mut_slice();
-        let dws = dw.as_mut_slice();
-        parallel::with_threads(workers, || {
-            parallel::par_chunks_mut(dxs, cin * h * wid, dx_batch);
-            parallel::par_chunks_mut(dws, cin * kh * kw, dw_filter);
-        });
-        let dbs = db.as_mut_slice();
-        for (f, dbf) in dbs.iter_mut().enumerate() {
-            for bi in 0..batch {
-                let plane = &gs[(bi * cout + f) * oh * ow..(bi * cout + f + 1) * oh * ow];
-                for &go in plane {
-                    if go != 0.0 {
-                        *dbf += go;
-                    }
-                }
-            }
-        }
-    }
-    vec![dx, dw, db]
 }
 
 /// 3-D convolution over `[batch, in_ch, t, h, w]` video volumes, as used by
@@ -367,6 +222,19 @@ impl Conv3d {
     }
 }
 
+/// `[batch, channel, t, h, w]` extents of a convolution operand; a 4-D
+/// `[batch, channel, h, w]` shape is the depth-1 case `t = 1`.
+fn volume_dims(shape: &[usize]) -> [usize; 5] {
+    match *shape {
+        [n, c, h, w] => [n, c, 1, h, w],
+        [n, c, t, h, w] => [n, c, t, h, w],
+        _ => panic!("convolution operands are 4-D or 5-D, got {shape:?}"),
+    }
+}
+
+/// Batched convolution forward pass over `[batch, cin, t, h, w]`
+/// volumes, or `[batch, cin, h, w]` planes at depth 1 (the output keeps
+/// the input's rank).
 fn conv3d_forward(
     x: &Tensor,
     w: &Tensor,
@@ -374,14 +242,16 @@ fn conv3d_forward(
     stride: (usize, usize, usize),
     pad: (usize, usize, usize),
 ) -> Tensor {
-    let s = x.shape();
-    let (batch, cin, t, h, wid) = (s[0], s[1], s[2], s[3], s[4]);
-    let ws_shape = w.shape();
-    let (cout, kt, kh, kw) = (ws_shape[0], ws_shape[2], ws_shape[3], ws_shape[4]);
+    let [batch, cin, t, h, wid] = volume_dims(x.shape());
+    let [cout, _, kt, kh, kw] = volume_dims(w.shape());
     let ot = (t + 2 * pad.0 - kt) / stride.0 + 1;
     let oh = (h + 2 * pad.1 - kh) / stride.1 + 1;
     let ow = (wid + 2 * pad.2 - kw) / stride.2 + 1;
-    let mut out = Tensor::zeros(&[batch, cout, ot, oh, ow]);
+    let mut shape = vec![batch, cout, ot, oh, ow];
+    if x.rank() == 4 {
+        shape.remove(2);
+    }
+    let mut out = Tensor::zeros(&shape);
     let (xs, ws, bs) = (x.as_slice(), w.as_slice(), b.as_slice());
     let os = out.as_mut_slice();
     // Parallel over the batch x cout output volumes; within a volume the
@@ -430,6 +300,25 @@ fn conv3d_forward(
     out
 }
 
+/// Batched convolution backward pass, for the operand shapes
+/// [`conv3d_forward`] takes.
+///
+/// A single loop nest would fuse the three gradients, but accumulating
+/// `dx` (shared across `cout`) and `dw` (shared across `batch`) from one
+/// loop nest cannot be split across workers without locks, so the pass
+/// runs three independent sweeps: `dx` parallel over `batch`, `dw`
+/// parallel over `cout`, and the tiny `db` reduction serial. Per
+/// gradient element the accumulation order matches the fused loop exactly
+/// (bit-for-bit at every thread count), because the fused loop already
+/// ordered contributions `(f, oz, oy, ox)`-major for `dx` and
+/// `(bi, oz, oy, ox)`-major for `dw`.
+///
+/// The `go == 0.0` skips are kept deliberately, unlike the forward
+/// matmul's IEEE-incorrect zero-skip (removed): upstream gradients are
+/// routinely *structurally* zero (ReLU masks, clipped losses, one-hot
+/// targets), the skip is a large win there, and a gradient that fails to
+/// propagate `0 x NaN` does not mask a blowup — the forward pass
+/// producing the NaN already reports it.
 fn conv3d_backward(
     g: &Tensor,
     x: &Tensor,
@@ -437,22 +326,16 @@ fn conv3d_backward(
     stride: (usize, usize, usize),
     pad: (usize, usize, usize),
 ) -> Vec<Tensor> {
-    let s = x.shape();
-    let (batch, cin, t, h, wid) = (s[0], s[1], s[2], s[3], s[4]);
-    let ws_shape = w.shape();
-    let (cout, kt, kh, kw) = (ws_shape[0], ws_shape[2], ws_shape[3], ws_shape[4]);
-    let (ot, oh, ow) = (g.shape()[2], g.shape()[3], g.shape()[4]);
+    let [batch, cin, t, h, wid] = volume_dims(x.shape());
+    let [cout, _, kt, kh, kw] = volume_dims(w.shape());
+    let [_, _, ot, oh, ow] = volume_dims(g.shape());
     let mut dx = Tensor::zeros(x.shape());
     let mut dw = Tensor::zeros(w.shape());
     let mut db = Tensor::zeros(&[cout]);
     let (gs, xs, ws) = (g.as_slice(), x.as_slice(), w.as_slice());
     let workers = conv_workers(batch * cout * ot * oh * ow * cin * kt * kh * kw);
 
-    // Same restructuring as `conv2d_backward`: three independent sweeps
-    // so `dx` (parallel over batch) and `dw` (parallel over cout) write
-    // lock-free; per-element accumulation order matches the historical
-    // fused loop bit-for-bit, and the `go == 0.0` skips are the same
-    // deliberate structural-sparsity optimization documented there.
+    // dx: each worker owns one batch element's input gradient.
     let dx_batch = |bi: usize, dxb: &mut [f32]| {
         for f in 0..cout {
             for oz in 0..ot {
@@ -490,6 +373,7 @@ fn conv3d_backward(
             }
         }
     };
+    // dw: each worker owns one output filter's weight gradient.
     let dw_filter = |f: usize, dwf: &mut [f32]| {
         for bi in 0..batch {
             for oz in 0..ot {
@@ -606,10 +490,19 @@ mod tests {
         let w = Tensor::rand_uniform(&mut rng, &[2, 2, 3, 3], -0.5, 0.5);
         let b = Tensor::rand_uniform(&mut rng, &[2], -0.5, 0.5);
         check_gradients(&[x, w, b], |g, vars| {
-            let value = conv2d_forward(g.value(vars[0]), g.value(vars[1]), g.value(vars[2]), 1, 1);
-            let y = g.custom_op(value, vec![vars[0], vars[1], vars[2]], |up, parents| {
-                conv2d_backward(up, parents[0], parents[1], 1, 1)
-            })?;
+            let (stride, pad) = ((1, 1, 1), (0, 1, 1));
+            let value = conv3d_forward(
+                g.value(vars[0]),
+                g.value(vars[1]),
+                g.value(vars[2]),
+                stride,
+                pad,
+            );
+            let y = g.custom_op(
+                value,
+                vec![vars[0], vars[1], vars[2]],
+                move |up, parents| conv3d_backward(up, parents[0], parents[1], stride, pad),
+            )?;
             let q = g.mul(y, y)?;
             g.sum(q)
         })
@@ -673,13 +566,15 @@ mod tests {
         let x = Tensor::rand_uniform(&mut rng, &[4, 3, 19, 21], -1.0, 1.0);
         let w = Tensor::rand_uniform(&mut rng, &[6, 3, 3, 3], -0.5, 0.5);
         let b = Tensor::rand_uniform(&mut rng, &[6], -0.5, 0.5);
-        let y_ref = with_threads(1, || conv2d_forward(&x, &w, &b, 2, 1));
+        // `Conv2d`'s depth-1 call into the shared kernels.
+        let (stride, pad) = ((1, 2, 2), (0, 1, 1));
+        let y_ref = with_threads(1, || conv3d_forward(&x, &w, &b, stride, pad));
         let g = Tensor::rand_uniform(&mut rng, y_ref.shape(), -1.0, 1.0);
-        let grads_ref = with_threads(1, || conv2d_backward(&g, &x, &w, 2, 1));
+        let grads_ref = with_threads(1, || conv3d_backward(&g, &x, &w, stride, pad));
         for threads in [2usize, 4, 4 * 6 + 2] {
-            let y = with_threads(threads, || conv2d_forward(&x, &w, &b, 2, 1));
+            let y = with_threads(threads, || conv3d_forward(&x, &w, &b, stride, pad));
             assert_eq!(y.as_slice(), y_ref.as_slice(), "{threads} threads");
-            let grads = with_threads(threads, || conv2d_backward(&g, &x, &w, 2, 1));
+            let grads = with_threads(threads, || conv3d_backward(&g, &x, &w, stride, pad));
             for (got, want) in grads.iter().zip(&grads_ref) {
                 assert_eq!(got.as_slice(), want.as_slice(), "{threads} threads");
             }
@@ -740,5 +635,121 @@ mod tests {
         assert!(conv.forward(&mut sess, bad).is_err());
         let small = sess.input(Tensor::zeros(&[1, 2, 2, 8, 8]));
         assert!(conv.forward(&mut sess, small).is_err());
+    }
+
+    /// FNV-1a 64 hashes of the bit patterns of the forward output and of
+    /// the `dx`, `dw` and `db` gradients of one layer call, driven through
+    /// the public `forward` and the autograd tape with an upstream
+    /// gradient whose every third element is zero (the `go == 0.0`
+    /// skips).
+    fn layer_hashes(
+        store: &ParamStore,
+        x: Tensor,
+        forward: impl Fn(&mut Session<'_>, Var) -> Result<Var>,
+        rng: &mut StdRng,
+    ) -> [u64; 4] {
+        let mut sess = Session::new(store);
+        let xv = sess.graph.leaf(x, true);
+        let y = forward(&mut sess, xv).unwrap();
+        let mut g = Tensor::rand_uniform(rng, sess.graph.value(y).shape(), -1.0, 1.0);
+        for (i, v) in g.as_mut_slice().iter_mut().enumerate() {
+            if i % 3 == 0 {
+                *v = 0.0;
+            }
+        }
+        let gv = sess.input(g);
+        let weighted = sess.graph.mul(y, gv).unwrap();
+        let loss = sess.graph.sum(weighted).unwrap();
+        let grads = sess.backward(loss).unwrap();
+        let ids = store.ids();
+        let hash = |t: &Tensor| {
+            let bytes: Vec<u8> = t.as_slice().iter().flat_map(|v| v.to_le_bytes()).collect();
+            crate::fnv1a64(&bytes)
+        };
+        [
+            hash(sess.graph.value(y)),
+            hash(sess.graph.grad(xv).unwrap()),
+            hash(grads.get(ids[0]).unwrap()),
+            hash(grads.get(ids[1]).unwrap()),
+        ]
+    }
+
+    /// Golden bits of both layers, forward and backward, recorded when
+    /// `Conv2d` and `Conv3d` each had their own kernels: any change to an
+    /// accumulation order, a skip or the parallel split shows here. The
+    /// first 2-D and 3-D cases are large enough to split across workers.
+    #[test]
+    fn conv_kernels_match_golden_bits() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let conv2d = [
+            // (batch, in, out, h, w, kernel, stride, padding)
+            (4, 3, 6, 19, 21, 3, 2, 1),
+            (2, 2, 3, 7, 6, 2, 1, 0),
+            (1, 1, 2, 5, 5, 3, 3, 2),
+        ];
+        let mut got = Vec::new();
+        for (batch, cin, cout, h, w, k, s, p) in conv2d {
+            let mut store = ParamStore::new();
+            let conv = Conv2d::new(&mut store, "c", cin, cout, k, s, p, &mut rng).unwrap();
+            let x = Tensor::rand_uniform(&mut rng, &[batch, cin, h, w], -1.0, 1.0);
+            got.push(layer_hashes(
+                &store,
+                x,
+                |sess, x| conv.forward(sess, x),
+                &mut rng,
+            ));
+        }
+        let conv3d = [
+            // (batch, in, out, [t, h, w], kernel, stride, padding)
+            (3, 2, 4, [6, 9, 11], (2, 3, 3), (1, 2, 2), (1, 1, 1)),
+            (1, 1, 2, [4, 5, 5], (3, 1, 2), (2, 1, 2), (0, 0, 1)),
+        ];
+        for (batch, cin, cout, [t, h, w], k, s, p) in conv3d {
+            let mut store = ParamStore::new();
+            let conv = Conv3d::new(&mut store, "c", cin, cout, k, s, p, &mut rng).unwrap();
+            let x = Tensor::rand_uniform(&mut rng, &[batch, cin, t, h, w], -1.0, 1.0);
+            got.push(layer_hashes(
+                &store,
+                x,
+                |sess, x| conv.forward(sess, x),
+                &mut rng,
+            ));
+        }
+        let want: [[u64; 4]; 5] = [
+            [
+                0x01c437b8086bb5f3,
+                0x7f7d4fdf95081e66,
+                0xd90421e2679f358b,
+                0x2986e14ef2475ee3,
+            ],
+            [
+                0xfa98cd65b7b6cfef,
+                0x53ef7215d3222a83,
+                0xd4c03fe2e6bd3d3c,
+                0x86a4fe4545c68993,
+            ],
+            [
+                0x88fca25ae4c6b2d8,
+                0xeb204f3f39ce4159,
+                0xc67e711eda86649c,
+                0x7525300d0897fb9e,
+            ],
+            [
+                0xebe6974dfc2486b6,
+                0x769ec6e6353d238d,
+                0xc377e2c027302de4,
+                0x25819c9eff94edbd,
+            ],
+            [
+                0x499d92dddf4d6beb,
+                0x9ad83caaa7b28139,
+                0x56b0478cc67fd003,
+                0x51140582b9aaffad,
+            ],
+        ];
+        assert_eq!(got.len(), want.len());
+        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(g, w, "case {i}: [forward, dx, dw, db]");
+        }
     }
 }

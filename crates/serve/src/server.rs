@@ -598,7 +598,7 @@ fn run_worker<S>(
             Ok(inference) if inference.len() == live.len() => {
                 let compute = started.elapsed();
                 let executed = live.len();
-                for (request, prediction) in live.into_iter().zip(inference) {
+                for (request, prediction) in live.into_iter().zip(&inference) {
                     request.answer(Ok(prediction));
                 }
                 recorder.record_batch(

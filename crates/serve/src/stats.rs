@@ -108,13 +108,6 @@ impl LatencySummary {
             max: Duration::from_nanos(snap.max),
         }
     }
-
-    /// The summary's percentiles as `(quantile, value)` pairs, in
-    /// ascending quantile order — the exportable form consumed by
-    /// metrics encoders.
-    pub fn quantiles(&self) -> [(f64, Duration); 3] {
-        [(0.5, self.p50), (0.95, self.p95), (0.99, self.p99)]
-    }
 }
 
 /// A point-in-time snapshot of a [`Server`](crate::Server)'s telemetry,
@@ -656,20 +649,6 @@ mod tests {
             // should_panic expectation explicitly.
             panic!("accounting drift checks are debug-only");
         }
-    }
-
-    #[test]
-    fn quantiles_export_in_ascending_order() {
-        let samples: Vec<Duration> = (1..=100).map(Duration::from_millis).collect();
-        let q = LatencySummary::from_samples(&samples).quantiles();
-        assert_eq!(
-            q,
-            [
-                (0.5, Duration::from_millis(50)),
-                (0.95, Duration::from_millis(95)),
-                (0.99, Duration::from_millis(99)),
-            ]
-        );
     }
 
     #[test]

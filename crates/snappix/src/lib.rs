@@ -89,8 +89,7 @@ mod report;
 pub use error::Error;
 pub use node::EdgeNode;
 pub use pipeline::{
-    resident_weight_bytes, Inference, IntoPredictions, Pipeline, PipelineBuilder, Prediction,
-    Predictions,
+    resident_weight_bytes, Inference, Pipeline, PipelineBuilder, Prediction, Predictions,
 };
 pub use report::{evaluate_deployment, DeploymentReport};
 

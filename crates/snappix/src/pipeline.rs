@@ -175,47 +175,6 @@ impl<'a> IntoIterator for &'a Inference {
     }
 }
 
-/// Owning iterator over an [`Inference`]'s per-clip [`Prediction`]s.
-///
-/// Created by iterating an [`Inference`] by value.
-#[derive(Debug, Clone)]
-pub struct IntoPredictions {
-    inference: Inference,
-    next: usize,
-}
-
-impl Iterator for IntoPredictions {
-    type Item = Prediction;
-
-    fn next(&mut self) -> Option<Prediction> {
-        if self.next >= self.inference.len() {
-            return None;
-        }
-        let i = self.next;
-        self.next += 1;
-        Some(self.inference.prediction(i).expect("index in range"))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = self.inference.len() - self.next;
-        (left, Some(left))
-    }
-}
-
-impl ExactSizeIterator for IntoPredictions {}
-
-impl IntoIterator for Inference {
-    type Item = Prediction;
-    type IntoIter = IntoPredictions;
-
-    fn into_iter(self) -> IntoPredictions {
-        IntoPredictions {
-            inference: self,
-            next: 0,
-        }
-    }
-}
-
 /// Staged construction of a [`Pipeline`], following the workspace's
 /// builder-style `with_*` idiom (each method returns `self` with one
 /// knob changed; [`PipelineBuilder::build`] validates the assembly).
@@ -596,9 +555,10 @@ where
     }
 
     /// Classifies a `[batch, t, h, w]` clip batch in one model forward
-    /// pass, reusing the pipeline's session. Sensing is batched when the
-    /// backend supports it (the algorithmic encoder does; the hardware
-    /// simulation captures clip by clip, as a physical sensor would).
+    /// pass, reusing the pipeline's session. Sensing goes through the
+    /// backend's [`Sense::sense_batch`]; both first-party backends sense
+    /// clip by clip (the hardware simulation captures as a physical
+    /// sensor would) and stack the coded images.
     ///
     /// Batching is the throughput path: per-clip graph construction and
     /// tensor allocation are amortized over the whole batch (see the
@@ -640,19 +600,7 @@ where
     ///
     /// Fails when the clip does not match the backend or the model.
     pub fn infer_clip(&mut self, clip: &Tensor) -> Result<Prediction, Error> {
-        let tracer = self.tracer.clone();
-        with_pool(self.threads, || {
-            let started = Instant::now();
-            let mut span = tracer.span("sense");
-            span.arg("clips", 1usize);
-            let coded = self.backend.sense(clip);
-            drop(span);
-            observe_since(&self.stages.sense, started);
-            let coded = coded?;
-            let batch = coded.reshape(&[1, coded.shape()[0], coded.shape()[1]])?;
-            self.infer_coded(&batch)
-        })?
-        .prediction(0)
+        self.infer(&clip.unsqueeze(0)?)?.prediction(0)
     }
 
     /// Classifies one `[t, h, w]` clip and returns only the label.
@@ -826,14 +774,12 @@ mod tests {
             let by_index = out.prediction(i).unwrap();
             assert_eq!(pred, by_index);
         }
-        // `&Inference` and owned `Inference` iterate identically.
+        // `&Inference` iterates like `predictions()`, in batch order.
         let borrowed: Vec<Prediction> = (&out).into_iter().collect();
-        let labels = out.labels.clone();
-        let owned: Vec<Prediction> = out.into_iter().collect();
-        assert_eq!(borrowed, owned);
+        assert_eq!(borrowed, out.predictions().collect::<Vec<_>>());
         assert_eq!(
-            owned.iter().map(|p| p.label).collect::<Vec<_>>(),
-            labels,
+            borrowed.iter().map(|p| p.label).collect::<Vec<_>>(),
+            out.labels,
             "iteration preserves batch order"
         );
     }

@@ -162,29 +162,7 @@ impl Tracer {
     /// worker opens `batch`, calls into the pipeline, and the
     /// pipeline's `sense`/`forward`/`readout` guards land as children.
     pub fn span(&self, name: &'static str) -> SpanGuard {
-        let Some(inner) = &self.inner else {
-            return SpanGuard::inert();
-        };
-        let start_us = inner.clock.now_us();
-        with_slot(inner, |slot| {
-            let parent = slot.stack.last().copied().unwrap_or_default();
-            let ctx = SpanCtx {
-                trace_id: parent.trace_id,
-                span_id: inner.next_span.fetch_add(1, Ordering::Relaxed),
-            };
-            slot.stack.push(ctx);
-            SpanGuard {
-                state: Some(GuardState {
-                    tracer: Arc::clone(inner),
-                    ctx,
-                    parent: parent.span_id,
-                    name,
-                    start_us,
-                    args: Vec::new(),
-                }),
-                _not_send: PhantomData,
-            }
-        })
+        self.span_in(name, self.current())
     }
 
     /// Open a span under an explicit parent context instead of the

@@ -697,6 +697,71 @@ fn gateway_served_trace_has_a_sound_cross_layer_span_tree() {
     server_stats.debug_assert_conserved();
 }
 
+/// Time a keep-alive client spends idle between requests is not
+/// parsing: the connection loop waits for the next request's first byte
+/// before it opens `parse`, so the second request's `parse` span covers
+/// only reading and framing it, however long the client paused first.
+#[test]
+fn keep_alive_idle_time_stays_out_of_the_parse_span() {
+    const IDLE: Duration = Duration::from_millis(150);
+    const TRACE: u64 = 4242;
+    let server = Server::builder(Pipeline::builder(model()))
+        .with_workers(1)
+        .with_tracer(Tracer::new())
+        .build()
+        .expect("server assembly");
+    let gateway = Gateway::builder(server).bind().expect("bind");
+    let addr = gateway.local_addr();
+    let all = clips(2);
+
+    let mut connection = Client::connect(addr);
+    // Head and body go out as separate writes; without Nagle they leave
+    // at once, so only the gateway's own work lands inside `parse`.
+    connection
+        .reader
+        .get_ref()
+        .set_nodelay(true)
+        .expect("disable Nagle");
+    let first = connection.send("POST", "/v1/classify", &[], &clip_bytes(&all[0]));
+    assert_eq!(first.status, 200, "{}", first.text());
+    std::thread::sleep(IDLE);
+    let headers = [("x-snappix-trace", TRACE.to_string())];
+    let second = connection.send("POST", "/v1/classify", &headers, &clip_bytes(&all[1]));
+    assert_eq!(second.status, 200, "{}", second.text());
+    assert_eq!(second.header("x-snappix-trace"), Some("4242"));
+
+    // `respond` is recorded after the reply reaches the client; poll
+    // until the second request's trace is complete.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let mine: Vec<Span> = loop {
+        let reply = Client::connect(addr).send("GET", "/debug/trace", &[], &[]);
+        assert_eq!(reply.status, 200);
+        let mine: Vec<Span> = decode_trace(&reply.text())
+            .into_iter()
+            .filter(|s| s.trace_id == TRACE)
+            .collect();
+        if mine.iter().any(|s| s.name == "respond") {
+            break mine;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "trace {TRACE} never completed in /debug/trace"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    let parse = mine.iter().find(|s| s.name == "parse").expect("parse span");
+    assert!(
+        parse.dur < 50_000,
+        "parse of the request sent after {IDLE:?} idle lasted {} us",
+        parse.dur
+    );
+    assert!(
+        mine.iter().all(|s| s.name != "accept"),
+        "only a connection's first request has an accept span"
+    );
+    gateway.shutdown();
+}
+
 /// Tracing must be observationally free: the same clips served with the
 /// tracer on and off produce byte-identical response bodies (the logits
 /// are formatted shortest-round-trip, so this is bit-for-bit equality
